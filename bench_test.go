@@ -490,40 +490,64 @@ func benchDigestStream(eng *core.Engine, nFlows, nPkts int) []core.PacketDigest 
 	return pkts
 }
 
+// benchRunStream regroups benchDigestStream's one-packet-per-flow
+// rotation into runs of run consecutive packets of one flow, rotating
+// over nFlows flows: the shape a daemon sees when each exporter frame
+// carries one flow's packets.
+func benchRunStream(eng *core.Engine, nFlows, run, nPkts int) []core.PacketDigest {
+	src := benchDigestStream(eng, nFlows, nPkts)
+	out := make([]core.PacketDigest, 0, nPkts)
+	for base := 0; base < nPkts; base += nFlows * run {
+		for f := 0; f < nFlows; f++ {
+			for i := base + f; i < base+nFlows*run && i < nPkts; i += nFlows {
+				out = append(out, src[i])
+			}
+		}
+	}
+	return out
+}
+
 // BenchmarkSinkIngest compares serial Recording against the sharded sink
 // at 1/2/4/8 workers over a pre-encoded multi-flow digest stream, at
 // steady state: the Recording/Sink is built and warmed once, outside the
 // timer, so ns/op is per packet and allocs/op measures recording — not
 // the tens of thousands of construction and cold-start flow-admission
 // allocations a fresh-instance-per-iteration loop would charge to it.
-// The residual allocations are intrinsic sketch growth (KLL compactors,
-// latency samples), not ingest machinery; the machinery itself is pinned
-// allocation-free by TestStageZeroAllocSteadyState.
+// Recording itself allocates nothing per packet (TestRecordBatchAllocs
+// pins it); what remains is amortized growth of KLL compactors and
+// sample lists, and the ingest machinery is pinned allocation-free by
+// TestStageZeroAllocSteadyState. serial-runs is the
+// daemon's shape: raw latency storage and 256-packet runs of one flow,
+// rotating over 16 flows.
 func BenchmarkSinkIngest(b *testing.B) {
 	eng, _ := benchCombinedPlan(b)
 	pkts := benchDigestStream(eng, 256, 1<<14)
-	b.Run("serial", func(b *testing.B) {
-		rec, err := core.NewRecordingSeeded(eng, 32, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rec.RecordBatch(pkts); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := len(pkts)
-			if rem := b.N - done; rem < n {
-				n = rem
-			}
-			if err := rec.RecordBatch(pkts[:n]); err != nil {
+	serial := func(sketchItems int, pkts []core.PacketDigest) func(b *testing.B) {
+		return func(b *testing.B) {
+			rec, err := core.NewRecordingSeeded(eng, sketchItems, 7)
+			if err != nil {
 				b.Fatal(err)
 			}
-			done += n
+			if err := rec.RecordBatch(pkts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				n := len(pkts)
+				if rem := b.N - done; rem < n {
+					n = rem
+				}
+				if err := rec.RecordBatch(pkts[:n]); err != nil {
+					b.Fatal(err)
+				}
+				done += n
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpkt/s")
 		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpkt/s")
-	})
+	}
+	b.Run("serial", serial(32, pkts))
+	b.Run("serial-runs", serial(0, benchRunStream(eng, 16, 256, 1<<14)))
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
 			sink, err := pipeline.NewSink(eng, pipeline.Config{

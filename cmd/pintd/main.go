@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -176,7 +177,7 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Printf("pintd: grace expired, open sessions force-closed (%v)\n", err)
 	}
-	if err := <-serveErr; err != nil {
+	if err := <-serveErr; err != nil && !errors.Is(err, collector.ErrServerClosed) {
 		log.Fatalf("pintd: serve: %v", err)
 	}
 	if httpSrv != nil {

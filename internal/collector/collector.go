@@ -262,6 +262,10 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// ErrServerClosed is Serve's error when Shutdown ran before Serve began
+// accepting: a daemon signalled during startup treats it as a clean stop.
+var ErrServerClosed = errors.New("collector: server already shut down")
+
 // ListenAndServe listens on addr ("host:port") and calls Serve.
 func (s *Server) ListenAndServe(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -278,7 +282,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	if s.closing {
 		s.mu.Unlock()
 		ln.Close()
-		return fmt.Errorf("collector: server already shut down")
+		return ErrServerClosed
 	}
 	if s.ln != nil {
 		s.mu.Unlock()

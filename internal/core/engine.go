@@ -59,6 +59,9 @@ type Engine struct {
 	cum []float64
 	// progs[i] is set i lowered to a flat encode/record program.
 	progs []encodeProgram
+	// nQueries is the number of distinct queries, the range of
+	// encodeOp.slot.
+	nQueries int
 }
 
 // Compile builds an execution plan for concurrent queries under a global
@@ -162,12 +165,17 @@ func Compile(queries []Query, globalBits int, master hash.Seed) (*Engine, error)
 				queries[i].Name(), r)
 		}
 	}
-	e := &Engine{g: hash.NewGlobal(master.Derive(0xE14)), master: master, plan: plan}
+	e := &Engine{g: hash.NewGlobal(master.Derive(0xE14)), master: master, plan: plan,
+		nQueries: len(queries)}
+	slots := make(map[Query]int, len(queries))
+	for i, q := range queries {
+		slots[q] = i
+	}
 	cum := 0.0
 	for _, s := range plan.Sets {
 		cum += s.Prob
 		e.cum = append(e.cum, cum)
-		prog, err := compileProgram(s)
+		prog, err := compileProgram(s, slots)
 		if err != nil {
 			return nil, err
 		}

@@ -112,6 +112,10 @@ type encodeOp struct {
 	// pathIdx is this path op's slot in PacketDigest's layer cache
 	// (-1: beyond the cache, recompute per hop).
 	pathIdx int8
+	// slot is the query's engine-wide index (its position in Compile's
+	// query list), shared by every set the query appears in; the
+	// Recording Module keys its per-run state cache by it.
+	slot int
 }
 
 // encodeProgram is the compiled form of one QuerySet.
@@ -123,7 +127,7 @@ type encodeProgram struct {
 // five core kinds), matching the Recording Module's dispatch; an unknown
 // Query implementation is a compile-time error rather than a silent
 // fallback to the slow path.
-func compileProgram(set QuerySet) (encodeProgram, error) {
+func compileProgram(set QuerySet, slots map[Query]int) (encodeProgram, error) {
 	prog := encodeProgram{ops: make([]encodeOp, len(set.Queries))}
 	nPath := 0
 	for i, q := range set.Queries {
@@ -131,6 +135,7 @@ func compileProgram(set QuerySet) (encodeProgram, error) {
 			shift: uint(set.Offsets[i]),
 			mask:  digestMask(q.Bits()),
 			q:     q,
+			slot:  slots[q],
 		}
 		switch qq := q.(type) {
 		case *PathQuery:

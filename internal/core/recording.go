@@ -44,6 +44,9 @@ type Recording struct {
 	utils map[*UtilQuery]map[FlowKey][]float64
 	freqs map[*FreqQuery]map[FlowKey][]*sketch.SpaceSaving
 	cnts  map[*CountQuery]map[FlowKey][]float64
+	// slots caches each query's state for the run being recorded,
+	// indexed by encodeOp.slot; every slot is empty between runs.
+	slots []runSlot
 }
 
 type latStore struct {
@@ -82,6 +85,7 @@ func NewRecordingSeeded(engine *Engine, sketchItems int, base hash.Seed) (*Recor
 		utils:        map[*UtilQuery]map[FlowKey][]float64{},
 		freqs:        map[*FreqQuery]map[FlowKey][]*sketch.SpaceSaving{},
 		cnts:         map[*CountQuery]map[FlowKey][]float64{},
+		slots:        make([]runSlot, engine.nQueries),
 	}, nil
 }
 
@@ -91,187 +95,225 @@ func (r *Recording) sketchRNG(qname string, flow FlowKey, hop int) *hash.RNG {
 }
 
 // Record processes one sink-extracted digest for a flow whose path length
-// is k (derived from the received TTL).
+// is k (derived from the received TTL). It is RecordBatch of one packet.
 func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) error {
-	pkt := PacketDigest{Flow: flow, PktID: pktID, PathLen: k, Digest: digest}
-	return r.record(&pkt)
+	one := [1]PacketDigest{{Flow: flow, PktID: pktID, PathLen: k, Digest: digest}}
+	return r.RecordBatch(one[:])
 }
 
 // RecordBatch ingests a batch of sink-extracted digests — the shape shard
 // workers and the batch experiment harness drive. Packets that came
 // through EncodeHopBatch carry their query-set selection already cached.
+// The batch is recorded as runs: maximal stretches of consecutive packets
+// of one flow, each charged one recency update and one state lookup per
+// query, with results identical to recording the packets one at a time.
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
-	for i := range batch {
-		if err := r.record(&batch[i]); err != nil {
+	for len(batch) > 0 {
+		n := 1
+		for n < len(batch) && batch[n].Flow == batch[0].Flow {
+			n++
+		}
+		if err := r.recordRun(batch[:n]); err != nil {
 			return err
 		}
+		batch = batch[n:]
 	}
 	return nil
 }
 
-// record runs one packet through the compiled program of its query set:
-// direct kind dispatch on precomputed ops, no Extracted materialization,
-// no type switches on interfaces.
-func (r *Recording) record(pkt *PacketDigest) error {
-	r.touch(pkt.Flow)
-	si := r.engine.setIndexOf(pkt)
-	if si < 0 {
-		return nil
-	}
-	ops := r.engine.progs[si].ops
-	for i := range ops {
-		op := &ops[i]
-		bits := pkt.Digest >> op.shift & op.mask
-		var err error
-		switch op.kind {
-		case opPath:
-			err = r.recordPath(op.path, pkt, bits)
-		case opLatency:
-			err = r.recordLatency(op.lat, pkt, bits)
-		case opUtil:
-			byFlow := r.utils[op.util]
-			if byFlow == nil {
-				byFlow = map[FlowKey][]float64{}
-				r.utils[op.util] = byFlow
-			}
-			byFlow[pkt.Flow] = append(byFlow[pkt.Flow], op.util.Decode(bits))
-		case opFreq:
-			err = r.recordFreq(op.freq, pkt, bits)
-		case opCount:
-			byFlow := r.cnts[op.cnt]
-			if byFlow == nil {
-				byFlow = map[FlowKey][]float64{}
-				r.cnts[op.cnt] = byFlow
-			}
-			byFlow[pkt.Flow] = append(byFlow[pkt.Flow], op.cnt.Decode(bits))
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// runSlot holds one query's state for the flow whose run is being
+// recorded: looked up (or created) at the run's first packet that
+// carries the query, then reused by the rest of the run. op is nil while
+// the slot is empty.
+type runSlot struct {
+	op   *encodeOp
+	dec  *coding.Decoder
+	lat  []*latStore
+	freq []*sketch.SpaceSaving
+	// vals is a util or count series; appends land here and are stored
+	// back into the query's flow map when the run ends.
+	vals []float64
 }
 
-func (r *Recording) recordPath(q *PathQuery, pkt *PacketDigest, bits uint64) error {
-	byFlow := r.paths[q]
-	if byFlow == nil {
-		byFlow = map[FlowKey]*coding.Decoder{}
-		r.paths[q] = byFlow
-	}
-	dec := byFlow[pkt.Flow]
-	if dec == nil {
-		var err error
-		dec, err = q.NewDecoder(pkt.PathLen)
-		if err != nil {
-			return err
+// recordRun records a run of packets sharing one flow, each through the
+// compiled program of its query set: direct kind dispatch on precomputed
+// ops, no Extracted materialization, no type switches on interfaces.
+func (r *Recording) recordRun(run []PacketDigest) error {
+	flow := run[0].Flow
+	r.touch(flow, len(run))
+	err := r.recordPackets(flow, run)
+	for i := range r.slots {
+		s := &r.slots[i]
+		switch {
+		case s.op == nil:
+			continue
+		case s.op.kind == opUtil:
+			r.utils[s.op.util][flow] = s.vals
+		case s.op.kind == opCount:
+			r.cnts[s.op.cnt][flow] = s.vals
 		}
-		byFlow[pkt.Flow] = dec
+		*s = runSlot{}
 	}
-	q.ObserveInto(dec, pkt.PktID, bits)
-	return nil
+	return err
 }
 
-func (r *Recording) recordLatency(q *LatencyQuery, pkt *PacketDigest, bits uint64) error {
-	byFlow := r.lats[q]
-	if byFlow == nil {
-		byFlow = map[FlowKey][]*latStore{}
-		r.lats[q] = byFlow
-	}
-	hops := byFlow[pkt.Flow]
-	if hops == nil {
-		hops = make([]*latStore, pkt.PathLen)
-		for i := range hops {
-			st := &latStore{}
-			switch {
-			case r.WindowBuckets > 1 && r.SketchItems > 0:
-				win, err := sketch.NewSlidingKLL(r.WindowBuckets,
-					r.WindowSpan, r.SketchItems, r.sketchRNG(q.Name(), pkt.Flow, i+1))
-				if err != nil {
+func (r *Recording) recordPackets(flow FlowKey, run []PacketDigest) error {
+	for i := range run {
+		pkt := &run[i]
+		si := r.engine.setIndexOf(pkt)
+		if si < 0 {
+			continue
+		}
+		ops := r.engine.progs[si].ops
+		for j := range ops {
+			op := &ops[j]
+			s := &r.slots[op.slot]
+			if s.op == nil {
+				if err := r.fillSlot(s, op, flow, pkt.PathLen); err != nil {
 					return err
 				}
-				st.win = win
-			case r.SketchItems > 0:
-				kll, err := sketch.NewKLL(r.SketchItems, r.sketchRNG(q.Name(), pkt.Flow, i+1))
-				if err != nil {
-					return err
-				}
-				st.kll = kll
 			}
-			hops[i] = st
+			bits := pkt.Digest >> op.shift & op.mask
+			switch op.kind {
+			case opPath:
+				op.path.ObserveInto(s.dec, pkt.PktID, bits)
+			case opLatency:
+				if pkt.PathLen > len(s.lat) {
+					if err := r.growLatency(s, op.lat, flow, pkt.PathLen); err != nil {
+						return err
+					}
+				}
+				st := s.lat[op.lat.Winner(pkt.PktID, pkt.PathLen)-1]
+				switch {
+				case st.win != nil:
+					if err := st.win.Add(float64(bits)); err != nil {
+						return err
+					}
+				case st.kll != nil:
+					st.kll.Add(float64(bits))
+				default:
+					st.raw = append(st.raw, bits)
+				}
+			case opUtil:
+				s.vals = append(s.vals, op.util.Decode(bits))
+			case opFreq:
+				if pkt.PathLen > len(s.freq) {
+					if err := r.growFreq(s, op.freq, flow, pkt.PathLen); err != nil {
+						return err
+					}
+				}
+				s.freq[op.freq.Winner(pkt.PktID, pkt.PathLen)-1].Add(bits)
+			case opCount:
+				s.vals = append(s.vals, op.cnt.Decode(bits))
+			}
 		}
-		byFlow[pkt.Flow] = hops
-	}
-	w := q.Winner(pkt.PktID, pkt.PathLen)
-	st := hops[w-1]
-	switch {
-	case st.win != nil:
-		return st.win.Add(float64(bits))
-	case st.kll != nil:
-		st.kll.Add(float64(bits))
-	default:
-		st.raw = append(st.raw, bits)
 	}
 	return nil
 }
 
-func (r *Recording) recordFreq(q *FreqQuery, pkt *PacketDigest, bits uint64) error {
-	byFlow := r.freqs[q]
-	if byFlow == nil {
-		byFlow = map[FlowKey][]*sketch.SpaceSaving{}
-		r.freqs[q] = byFlow
-	}
-	hops := byFlow[pkt.Flow]
-	if hops == nil {
-		hops = make([]*sketch.SpaceSaving, pkt.PathLen)
-		for i := range hops {
-			ss, err := sketch.NewSpaceSaving(r.FreqCounters)
+// fillSlot looks up op's query state for flow, creating the query's flow
+// map and (for path queries) the flow's decoder on first use. Per-hop
+// stores are created by growLatency/growFreq as path lengths arrive.
+func (r *Recording) fillSlot(s *runSlot, op *encodeOp, flow FlowKey, k int) error {
+	switch op.kind {
+	case opPath:
+		byFlow := flowMap(r.paths, op.path)
+		if s.dec = byFlow[flow]; s.dec == nil {
+			dec, err := op.path.NewDecoder(k)
 			if err != nil {
 				return err
 			}
-			hops[i] = ss
+			byFlow[flow], s.dec = dec, dec
 		}
-		byFlow[pkt.Flow] = hops
+	case opLatency:
+		s.lat = flowMap(r.lats, op.lat)[flow]
+	case opUtil:
+		s.vals = flowMap(r.utils, op.util)[flow]
+	case opFreq:
+		s.freq = flowMap(r.freqs, op.freq)[flow]
+	case opCount:
+		s.vals = flowMap(r.cnts, op.cnt)[flow]
 	}
-	hops[q.Winner(pkt.PktID, pkt.PathLen)-1].Add(bits)
+	s.op = op
 	return nil
 }
 
-// touch refreshes a flow's recency and enforces MaxFlows by evicting the
-// least-recently-updated flow's state across every query.
-func (r *Recording) touch(flow FlowKey) {
-	r.seq++
-	r.flowSeq[flow] = r.seq
-	if r.MaxFlows <= 0 || len(r.flowSeq) <= r.MaxFlows {
-		return
-	}
-	var victim FlowKey
-	oldest := ^uint64(0)
-	for f, s := range r.flowSeq {
-		if s < oldest {
-			oldest, victim = s, f
+// growLatency extends a flow's per-hop latency stores to k hops: a flow
+// whose path gets longer (a route change, §7) keeps its existing hops and
+// gains fresh stores for the new ones. Each store's RNG derives from
+// (query, flow, hop) alone, so growth stays bit-identical across shards.
+func (r *Recording) growLatency(s *runSlot, q *LatencyQuery, flow FlowKey, k int) error {
+	hops := make([]*latStore, k)
+	copy(hops, s.lat)
+	for i := len(s.lat); i < k; i++ {
+		st := &latStore{}
+		switch {
+		case r.WindowBuckets > 1 && r.SketchItems > 0:
+			win, err := sketch.NewSlidingKLL(r.WindowBuckets,
+				r.WindowSpan, r.SketchItems, r.sketchRNG(q.Name(), flow, i+1))
+			if err != nil {
+				return err
+			}
+			st.win = win
+		case r.SketchItems > 0:
+			kll, err := sketch.NewKLL(r.SketchItems, r.sketchRNG(q.Name(), flow, i+1))
+			if err != nil {
+				return err
+			}
+			st.kll = kll
 		}
+		hops[i] = st
 	}
-	r.Evict(victim)
+	s.lat = hops
+	r.lats[q][flow] = hops
+	return nil
+}
+
+// growFreq extends a flow's per-hop frequent-value summaries to k hops,
+// as growLatency does for latency stores.
+func (r *Recording) growFreq(s *runSlot, q *FreqQuery, flow FlowKey, k int) error {
+	hops := make([]*sketch.SpaceSaving, k)
+	copy(hops, s.freq)
+	for i := len(s.freq); i < k; i++ {
+		ss, err := sketch.NewSpaceSaving(r.FreqCounters)
+		if err != nil {
+			return err
+		}
+		hops[i] = ss
+	}
+	s.freq = hops
+	r.freqs[q][flow] = hops
+	return nil
+}
+
+// touch refreshes a flow's recency for a run of n packets and enforces
+// MaxFlows by evicting the least-recently-updated flows' state across
+// every query. It leaves seq, recency and victims exactly as n per-packet
+// refreshes would: seq advances by n, and each packet may evict one flow
+// while the limit is exceeded (only the run's first packet can add one).
+func (r *Recording) touch(flow FlowKey, n int) {
+	r.seq += uint64(n)
+	r.flowSeq[flow] = r.seq
+	for ; n > 0 && r.MaxFlows > 0 && len(r.flowSeq) > r.MaxFlows; n-- {
+		var victim FlowKey
+		oldest := ^uint64(0)
+		for f, s := range r.flowSeq {
+			if s < oldest {
+				oldest, victim = s, f
+			}
+		}
+		r.Evict(victim)
+	}
 }
 
 // Evict drops all recorded state for one flow.
 func (r *Recording) Evict(flow FlowKey) {
 	delete(r.flowSeq, flow)
-	for _, byFlow := range r.paths {
-		delete(byFlow, flow)
-	}
-	for _, byFlow := range r.lats {
-		delete(byFlow, flow)
-	}
-	for _, byFlow := range r.utils {
-		delete(byFlow, flow)
-	}
-	for _, byFlow := range r.freqs {
-		delete(byFlow, flow)
-	}
-	for _, byFlow := range r.cnts {
-		delete(byFlow, flow)
-	}
+	dropFlow(r.paths, flow)
+	dropFlow(r.lats, flow)
+	dropFlow(r.utils, flow)
+	dropFlow(r.freqs, flow)
+	dropFlow(r.cnts, flow)
 }
 
 // TrackedFlows returns the number of flows with live state.
@@ -314,71 +356,89 @@ func (r *Recording) Clone() *Recording {
 		seq:           r.seq,
 		base:          r.base,
 		flowSeq:       make(map[FlowKey]uint64, len(r.flowSeq)),
-		paths:         make(map[*PathQuery]map[FlowKey]*coding.Decoder, len(r.paths)),
-		lats:          make(map[*LatencyQuery]map[FlowKey][]*latStore, len(r.lats)),
-		utils:         make(map[*UtilQuery]map[FlowKey][]float64, len(r.utils)),
-		freqs:         make(map[*FreqQuery]map[FlowKey][]*sketch.SpaceSaving, len(r.freqs)),
-		cnts:          make(map[*CountQuery]map[FlowKey][]float64, len(r.cnts)),
+		paths:         cloneFlowMaps(r.paths, (*coding.Decoder).Clone),
+		lats:          cloneFlowMaps(r.lats, cloneLatStores),
+		utils:         cloneFlowMaps(r.utils, cloneSeries),
+		freqs:         cloneFlowMaps(r.freqs, cloneFreqStores),
+		cnts:          cloneFlowMaps(r.cnts, cloneSeries),
+		slots:         make([]runSlot, len(r.slots)),
 	}
 	for f, s := range r.flowSeq {
 		c.flowSeq[f] = s
 	}
-	for q, byFlow := range r.paths {
-		m := make(map[FlowKey]*coding.Decoder, len(byFlow))
-		for f, dec := range byFlow {
-			m[f] = dec.Clone()
-		}
-		c.paths[q] = m
-	}
-	for q, byFlow := range r.lats {
-		m := make(map[FlowKey][]*latStore, len(byFlow))
-		for f, hops := range byFlow {
-			cp := make([]*latStore, len(hops))
-			for i, st := range hops {
-				if st == nil {
-					continue
-				}
-				cst := &latStore{raw: append([]uint64(nil), st.raw...)}
-				if st.kll != nil {
-					cst.kll = st.kll.Clone()
-				}
-				if st.win != nil {
-					cst.win = st.win.Clone()
-				}
-				cp[i] = cst
-			}
-			m[f] = cp
-		}
-		c.lats[q] = m
-	}
-	for q, byFlow := range r.utils {
-		m := make(map[FlowKey][]float64, len(byFlow))
-		for f, vs := range byFlow {
-			m[f] = append([]float64(nil), vs...)
-		}
-		c.utils[q] = m
-	}
-	for q, byFlow := range r.freqs {
-		m := make(map[FlowKey][]*sketch.SpaceSaving, len(byFlow))
-		for f, hops := range byFlow {
-			cp := make([]*sketch.SpaceSaving, len(hops))
-			for i, ss := range hops {
-				if ss != nil {
-					cp[i] = ss.Clone()
-				}
-			}
-			m[f] = cp
-		}
-		c.freqs[q] = m
-	}
-	for q, byFlow := range r.cnts {
-		m := make(map[FlowKey][]float64, len(byFlow))
-		for f, vs := range byFlow {
-			m[f] = append([]float64(nil), vs...)
-		}
-		c.cnts[q] = m
-	}
 	return c
+}
+
+func cloneLatStores(hops []*latStore) []*latStore {
+	cp := make([]*latStore, len(hops))
+	for i, st := range hops {
+		if st == nil {
+			continue
+		}
+		cst := &latStore{raw: append([]uint64(nil), st.raw...)}
+		if st.kll != nil {
+			cst.kll = st.kll.Clone()
+		}
+		if st.win != nil {
+			cst.win = st.win.Clone()
+		}
+		cp[i] = cst
+	}
+	return cp
+}
+
+func cloneFreqStores(hops []*sketch.SpaceSaving) []*sketch.SpaceSaving {
+	cp := make([]*sketch.SpaceSaving, len(hops))
+	for i, ss := range hops {
+		if ss != nil {
+			cp[i] = ss.Clone()
+		}
+	}
+	return cp
+}
+
+func cloneSeries(vs []float64) []float64 { return append([]float64(nil), vs...) }
+
+// flowMap returns q's per-flow map within one query family, creating it
+// on first use.
+func flowMap[Q comparable, V any](m map[Q]map[FlowKey]V, q Q) map[FlowKey]V {
+	byFlow := m[q]
+	if byFlow == nil {
+		byFlow = map[FlowKey]V{}
+		m[q] = byFlow
+	}
+	return byFlow
+}
+
+// cloneFlowMaps deep-copies one query family's per-flow state with cp.
+func cloneFlowMaps[Q comparable, V any](m map[Q]map[FlowKey]V, cp func(V) V) map[Q]map[FlowKey]V {
+	out := make(map[Q]map[FlowKey]V, len(m))
+	for q, byFlow := range m {
+		c := make(map[FlowKey]V, len(byFlow))
+		for f, v := range byFlow {
+			c[f] = cp(v)
+		}
+		out[q] = c
+	}
+	return out
+}
+
+// adoptFlowMaps moves every flow of one query family from src into dst
+// by reference.
+func adoptFlowMaps[Q comparable, V any](dst, src map[Q]map[FlowKey]V) {
+	for q, byFlow := range src {
+		d := flowMap(dst, q)
+		for f, v := range byFlow {
+			d[f] = v
+		}
+	}
+}
+
+// dropFlow deletes one flow from every query of a family.
+func dropFlow[Q comparable, V any](m map[Q]map[FlowKey]V, flow FlowKey) {
+	for _, byFlow := range m {
+		delete(byFlow, flow)
+	}
 }
 
 // Merge adopts every flow of o into r. The two recordings must serve the
@@ -410,56 +470,11 @@ func (r *Recording) Merge(o *Recording) error {
 		r.seq++
 		r.flowSeq[f] = r.seq
 	}
-	for q, byFlow := range o.paths {
-		dst := r.paths[q]
-		if dst == nil {
-			dst = map[FlowKey]*coding.Decoder{}
-			r.paths[q] = dst
-		}
-		for f, dec := range byFlow {
-			dst[f] = dec
-		}
-	}
-	for q, byFlow := range o.lats {
-		dst := r.lats[q]
-		if dst == nil {
-			dst = map[FlowKey][]*latStore{}
-			r.lats[q] = dst
-		}
-		for f, hops := range byFlow {
-			dst[f] = hops
-		}
-	}
-	for q, byFlow := range o.utils {
-		dst := r.utils[q]
-		if dst == nil {
-			dst = map[FlowKey][]float64{}
-			r.utils[q] = dst
-		}
-		for f, vs := range byFlow {
-			dst[f] = vs
-		}
-	}
-	for q, byFlow := range o.freqs {
-		dst := r.freqs[q]
-		if dst == nil {
-			dst = map[FlowKey][]*sketch.SpaceSaving{}
-			r.freqs[q] = dst
-		}
-		for f, hops := range byFlow {
-			dst[f] = hops
-		}
-	}
-	for q, byFlow := range o.cnts {
-		dst := r.cnts[q]
-		if dst == nil {
-			dst = map[FlowKey][]float64{}
-			r.cnts[q] = dst
-		}
-		for f, vs := range byFlow {
-			dst[f] = vs
-		}
-	}
+	adoptFlowMaps(r.paths, o.paths)
+	adoptFlowMaps(r.lats, o.lats)
+	adoptFlowMaps(r.utils, o.utils)
+	adoptFlowMaps(r.freqs, o.freqs)
+	adoptFlowMaps(r.cnts, o.cnts)
 	return nil
 }
 

@@ -47,18 +47,10 @@ func (q *PathQuery) Bits() int { return q.cfg.TotalBits() }
 // Frequency implements Query.
 func (q *PathQuery) Frequency() float64 { return q.freq }
 
-// EncodeHop implements Query by delegating to the coding encoder, packing
-// the per-instance digest words into the engine's flat bit slice.
+// EncodeHop implements Query by delegating to the coding encoder.
+// Non-acting hops return before touching any words, and the per-instance
+// words live on the stack, so nothing escapes to the heap.
 func (q *PathQuery) EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64 {
-	d := q.wordsOf(bits)
-	d = q.enc.EncodeHop(pktID, hop, d, value)
-	return q.bitsOf(d)
-}
-
-// encodeHopBits is the compiled-pipeline form of EncodeHop: identical
-// output, but non-acting hops return before touching any words and the
-// per-instance words live on the stack, so nothing escapes to the heap.
-func (q *PathQuery) encodeHopBits(pktID uint64, hop int, bits, value uint64) uint64 {
 	layer, act := q.enc.ActsOn(pktID, hop)
 	if !act {
 		return bits
@@ -73,15 +65,7 @@ func (q *PathQuery) encodeHopBits(pktID uint64, hop int, bits, value uint64) uin
 // batch encode paths (which passes precomputed n/width/mask).
 func applyPathWords(enc *coding.Encoder, pktID uint64, layer int, bits uint64, n int, width uint, mask, value uint64) uint64 {
 	var arr [8]uint64
-	var words []uint64
-	if n > len(arr) {
-		words = make([]uint64, n)
-	} else {
-		words = arr[:n]
-	}
-	for i := 0; i < n; i++ {
-		words[i] = bits >> (uint(i) * width) & mask
-	}
+	words := unpackPathWords(&arr, bits, n, width, mask)
 	enc.ApplyWords(pktID, layer, words, value)
 	var out uint64
 	for i, w := range words {
@@ -90,29 +74,27 @@ func applyPathWords(enc *coding.Encoder, pktID uint64, layer int, bits uint64, n
 	return out
 }
 
+// unpackPathWords splits a path query's flat digest slice into its n
+// per-instance words of width bits each. The words live in arr when n
+// fits, so a caller whose words do not escape allocates nothing.
+func unpackPathWords(arr *[8]uint64, bits uint64, n int, width uint, mask uint64) []uint64 {
+	var words []uint64
+	if n > len(arr) {
+		words = make([]uint64, n)
+	} else {
+		words = arr[:n]
+	}
+	for i := range words {
+		words[i] = bits >> (uint(i) * width) & mask
+	}
+	return words
+}
+
 func (q *PathQuery) instances() int {
 	if q.cfg.Mode == coding.ModeHashed && q.cfg.Instances > 1 {
 		return q.cfg.Instances
 	}
 	return 1
-}
-
-func (q *PathQuery) wordsOf(bits uint64) coding.Digest {
-	n := q.instances()
-	d := coding.Digest{Words: make([]uint64, n)}
-	mask := digestMask(q.cfg.Bits)
-	for i := 0; i < n; i++ {
-		d.Words[i] = bits >> uint(i*q.cfg.Bits) & mask
-	}
-	return d
-}
-
-func (q *PathQuery) bitsOf(d coding.Digest) uint64 {
-	var bits uint64
-	for i, w := range d.Words {
-		bits |= (w & digestMask(q.cfg.Bits)) << uint(i*q.cfg.Bits)
-	}
-	return bits
 }
 
 // NewDecoder creates the Inference-side decoder for one flow whose path
@@ -123,7 +105,9 @@ func (q *PathQuery) NewDecoder(k int) (*coding.Decoder, error) {
 
 // ObserveInto feeds one extracted digest slice into a flow's decoder.
 func (q *PathQuery) ObserveInto(dec *coding.Decoder, pktID uint64, bits uint64) bool {
-	return dec.Observe(pktID, q.wordsOf(bits))
+	var arr [8]uint64
+	words := unpackPathWords(&arr, bits, q.instances(), uint(q.cfg.Bits), digestMask(q.cfg.Bits))
+	return dec.Observe(pktID, coding.Digest{Words: words})
 }
 
 // DefaultPathConfig mirrors the evaluation's standard setup: hashed mode

@@ -152,6 +152,7 @@ func restoreKLLFrom(r *stateReader) (*KLL, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	s.setCaps()
 	return s, nil
 }
 

@@ -35,8 +35,12 @@ type KLL struct {
 	k          int
 	c          float64 // capacity decay between levels (2/3 per the paper)
 	compactors [][]float64
-	n          uint64 // total stream length
-	rng        *hash.RNG
+	// caps[h] is level h's item budget at the current height; it changes
+	// only when the height does, so grow (and every path that installs
+	// compactors wholesale) rebuilds it via setCaps.
+	caps []int
+	n    uint64 // total stream length
+	rng  *hash.RNG
 }
 
 // NewKLL creates a sketch with accuracy parameter k (space O(k)); rank
@@ -55,6 +59,15 @@ func NewKLL(k int, rng *hash.RNG) (*KLL, error) {
 
 func (s *KLL) grow() {
 	s.compactors = append(s.compactors, make([]float64, 0, s.capacity(len(s.compactors))))
+	s.setCaps()
+}
+
+// setCaps recomputes every level's budget for the current height.
+func (s *KLL) setCaps() {
+	s.caps = s.caps[:0]
+	for h := range s.compactors {
+		s.caps = append(s.caps, s.capacity(h))
+	}
 }
 
 // capacity returns the item budget of level h given the current height.
@@ -68,17 +81,22 @@ func (s *KLL) capacity(h int) int {
 	return cap
 }
 
-// Add inserts one value.
+// Add inserts one value. Only level 0 can overflow here: a compaction
+// pass always leaves every level within budget (levels it compacts keep
+// at most one item, and it grows only after compacting them all), so an
+// Add that leaves level 0 within budget has nothing to cascade.
 func (s *KLL) Add(v float64) {
 	s.compactors[0] = append(s.compactors[0], v)
 	s.n++
-	s.compress()
+	if len(s.compactors[0]) > s.caps[0] {
+		s.compress()
+	}
 }
 
 // compress compacts any overflowing level, cascading upward.
 func (s *KLL) compress() {
 	for h := 0; h < len(s.compactors); h++ {
-		if len(s.compactors[h]) <= s.capacity(h) {
+		if len(s.compactors[h]) <= s.caps[h] {
 			continue
 		}
 		if h+1 >= len(s.compactors) {
@@ -199,6 +217,7 @@ func (s *KLL) Clone() *KLL {
 	for h, comp := range s.compactors {
 		c.compactors[h] = append(make([]float64, 0, cap(comp)), comp...)
 	}
+	c.caps = append([]int(nil), s.caps...)
 	return c
 }
 
@@ -216,7 +235,7 @@ func (s *KLL) Merge(o *KLL) {
 	for {
 		over := false
 		for h := range s.compactors {
-			if len(s.compactors[h]) > s.capacity(h) {
+			if len(s.compactors[h]) > s.caps[h] {
 				over = true
 			}
 		}

@@ -209,3 +209,46 @@ func TestExactRank(t *testing.T) {
 		t.Fatal("extreme ranks wrong")
 	}
 }
+
+// TestKLLCachedCapacitiesStayExact pins the invariant Add's level-0-only
+// check relies on: after every insertion, merge, clone and codec restore,
+// the cached budgets equal the height's recomputed capacities and no
+// level exceeds its budget.
+func TestKLLCachedCapacitiesStayExact(t *testing.T) {
+	check := func(s *KLL, at string) {
+		t.Helper()
+		if len(s.caps) != len(s.compactors) {
+			t.Fatalf("%s: %d cached budgets for %d levels", at, len(s.caps), len(s.compactors))
+		}
+		for h := range s.compactors {
+			if s.caps[h] != s.capacity(h) {
+				t.Fatalf("%s: level %d cached budget %d, want %d", at, h, s.caps[h], s.capacity(h))
+			}
+			if len(s.compactors[h]) > s.caps[h] {
+				t.Fatalf("%s: level %d holds %d items over budget %d", at, h, len(s.compactors[h]), s.caps[h])
+			}
+		}
+	}
+	rng := hash.NewRNG(77)
+	for _, k := range []int{8, 32, 200} {
+		a, _ := NewKLL(k, hash.NewRNG(uint64(k)))
+		b, _ := NewKLL(k, hash.NewRNG(uint64(k)+1))
+		for i := 0; i < 20000; i++ {
+			a.Add(rng.Float64())
+			check(a, "add")
+			if i%3 == 0 {
+				b.Add(rng.Float64())
+			}
+		}
+		a.Merge(b)
+		check(a, "merge")
+		check(a.Clone(), "clone")
+		r, err := RestoreKLL(a.AppendState(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(r, "restore")
+		r.Add(0.5)
+		check(r, "add after restore")
+	}
+}
