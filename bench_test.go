@@ -962,7 +962,7 @@ func BenchmarkFleetHandoff(b *testing.B) {
 
 	// Seed the source through a normal exporter session, then wait for
 	// the read loop to drain it.
-	ex, err := collector.Dial(src.Addr().String(), collector.HelloFor(eng, 1, "seed"))
+	ex, err := collector.Connect(eng, 1, "seed", collector.WithAddrs(src.Addr().String()))
 	if err != nil {
 		b.Fatal(err)
 	}

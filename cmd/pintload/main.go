@@ -101,47 +101,39 @@ func main() {
 	fmt.Printf("pintload: %d exporters x %d flows x %d packets -> %s (plan 0x%016x, epoch %d)\n",
 		*exporters, *flows, *pkts, strings.Join(addrs, " + "), tb.Engine.PlanHash(), epochV)
 	if *duration > 0 {
-		runSteadyState(tb, addrs, route, epochV, *exporters, *flows, *pkts, *batch, *coalesce, *duration)
-		return
+		fmt.Printf("pintload: steady state for %v (coalesce %d bytes)\n", *duration, *coalesce)
 	}
 	start := time.Now()
-	packets, bytes, err := tb.StreamFleetDeployment(addrs, route, epochV, *exporters, *flows, *pkts, *batch)
+	loads, err := tb.StreamSteadyState(addrs, route, epochV, *exporters, *flows, *pkts, *batch, *coalesce, *duration)
 	if err != nil {
 		log.Fatalf("pintload: %v", err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("pintload: sent %d packets (%d wire bytes) in %v\n", packets, bytes, elapsed.Round(time.Millisecond))
-	fmt.Printf("pintload: %.0f pkts/s, %.2f bytes/pkt on the wire\n",
-		float64(packets)/elapsed.Seconds(), float64(bytes)/float64(packets))
-}
-
-// runSteadyState is -duration mode: every exporter replays its
-// pre-encoded flows at full rate until the deadline, and the report
-// breaks the aggregate down per connection — the numbers that show
-// whether the collector's parallel ingest keeps every pipe busy or one
-// hot shard is back-pressuring a subset of them.
-func runSteadyState(tb *collector.Testbench, addrs []string, route func(core.FlowKey) int, epoch uint64,
-	exporters, flows, pkts, batch, coalesce int, duration time.Duration) {
-	fmt.Printf("pintload: steady state for %v (coalesce %d bytes)\n", duration, coalesce)
-	loads, err := tb.StreamSteadyState(addrs, route, epoch, exporters, flows, pkts, batch, coalesce, duration)
-	if err != nil {
-		log.Fatalf("pintload: %v", err)
-	}
+	// In -duration mode the report breaks the aggregate down per
+	// connection — the numbers that show whether the collector's parallel
+	// ingest keeps every pipe busy or one hot shard is back-pressuring a
+	// subset of them.
 	var packets, bytes uint64
 	var longest time.Duration
 	for _, l := range loads {
-		fmt.Printf("pintload:   conn %-3d %12d pkts  %14d bytes  %8.3f Mpkt/s\n",
-			l.Exporter, l.Packets, l.Bytes, l.Mpkts())
+		if *duration > 0 {
+			fmt.Printf("pintload:   conn %-3d %12d pkts  %14d bytes  %8.3f Mpkt/s\n",
+				l.Exporter, l.Packets, l.Bytes, l.Mpkts())
+		}
 		packets += l.Packets
 		bytes += l.Bytes
-		if l.Elapsed > longest {
-			longest = l.Elapsed
-		}
+		longest = max(longest, l.Elapsed)
 	}
-	fmt.Printf("pintload: aggregate %d packets (%d wire bytes) in %v\n",
-		packets, bytes, longest.Round(time.Millisecond))
-	fmt.Printf("pintload: %.3f Mpkt/s aggregate, %.2f bytes/pkt on the wire\n",
-		float64(packets)/longest.Seconds()/1e6, float64(bytes)/float64(packets))
+	if *duration > 0 {
+		fmt.Printf("pintload: aggregate %d packets (%d wire bytes) in %v\n",
+			packets, bytes, longest.Round(time.Millisecond))
+		fmt.Printf("pintload: %.3f Mpkt/s aggregate, %.2f bytes/pkt on the wire\n",
+			float64(packets)/longest.Seconds()/1e6, float64(bytes)/float64(packets))
+		return
+	}
+	fmt.Printf("pintload: sent %d packets (%d wire bytes) in %v\n", packets, bytes, elapsed.Round(time.Millisecond))
+	fmt.Printf("pintload: %.0f pkts/s, %.2f bytes/pkt on the wire\n",
+		float64(packets)/elapsed.Seconds(), float64(bytes)/float64(packets))
 }
 
 // fleetMapFetch returns a roster fetch that GETs the gate's /fleetmap —

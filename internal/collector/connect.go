@@ -9,12 +9,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Connect is the one options-based entry point for exporter-session
-// construction: single-node and fleet exporters share it, mirroring the
-// server side's collector.New(engine, WithSink(...)) pattern. The older
-// constructors (Dial, NewExporter, DialFleet) remain as thin
-// compatibility paths delegating to the same internals — new code should
-// use Connect:
+// Connect is the one entry point for exporter-session construction:
+// single-node and fleet exporters share it, mirroring the server side's
+// collector.New(engine, WithSink(...)) pattern:
 //
 //	fe, err := collector.Connect(tb.Engine, 7, "tor-7",
 //	        collector.WithFleetMap(fm),          // addrs + routing + epoch from the map
@@ -86,8 +83,20 @@ func WithTenant(tenant string) DialOption {
 	return func(c *dialConfig) { c.tenant = tenant }
 }
 
-// WithCoalesce sets the per-session write-coalescing threshold in bytes
-// (see Exporter.SetCoalesce for the latency/throughput trade-off).
+// WithCoalesce sets the per-session write-coalescing threshold in bytes.
+// With n > 0, Send buffers marshaled frames until at least n bytes are
+// pending, then writes them in one syscall; Flush (and Close) drain the
+// remainder. With n <= 0 (the default) every frame is written
+// immediately.
+//
+// The trade-off: coalescing cuts syscalls and small TCP segments —
+// throughput for high-rate exporters feeding many small frames — but a
+// buffered frame is invisible to the collector until the threshold
+// fills or Flush runs, so per-report latency rises by up to one
+// coalescing window. Pick immediate writes for interactive or sparse
+// telemetry, coalescing for bulk replay and load generation. A few kB
+// (wire MTU-to-64kB) is the useful range; the frame that crosses the
+// threshold is never split.
 func WithCoalesce(bytes int) DialOption {
 	return func(c *dialConfig) { c.coalesce = bytes }
 }
@@ -120,7 +129,7 @@ func Connect(engine *core.Engine, exporterID uint64, name string, opts ...DialOp
 	if engine == nil {
 		return nil, fmt.Errorf("collector: nil engine")
 	}
-	cfg := dialConfig{batch: 256}
+	var cfg dialConfig
 	for _, o := range opts {
 		if o != nil {
 			o(&cfg)
@@ -146,40 +155,22 @@ func Connect(engine *core.Engine, exporterID uint64, name string, opts ...DialOp
 		}
 		cfg.route = func(core.FlowKey) int { return 0 }
 	}
+	if cfg.batch < 1 {
+		cfg.batch = 256
+	}
 	hello := HelloFor(engine, exporterID, name)
 	hello.Epoch = cfg.epoch
 	hello.Tenant = cfg.tenant
-	return dialFleet(cfg.addrs, hello, cfg.route, cfg.batch, cfg.coalesce, cfg.fetch)
-}
-
-// rerouteDeadline bounds how long a rerouting exporter polls the roster
-// fetch for a newer fleet map before giving up. Resizes publish the new
-// map only after state migration completes, so the poll spans the whole
-// hand-off.
-const rerouteDeadline = 60 * time.Second
-
-// dialFleet is the shared constructor behind Connect and the DialFleet
-// compatibility path. With a non-nil fetch an initial epoch refusal is
-// recovered by fetching a newer map and retrying.
-func dialFleet(addrs []string, hello wire.Hello, route func(core.FlowKey) int, batch, coalesce int,
-	fetch func() (FleetRoster, error)) (*FleetExporter, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("collector: empty fleet address list")
-	}
-	if route == nil {
-		return nil, fmt.Errorf("collector: nil fleet route function")
-	}
-	if batch < 1 {
-		batch = 256
-	}
 	f := &FleetExporter{
-		route:    route,
-		batch:    batch,
+		route:    cfg.route,
+		batch:    cfg.batch,
 		hello:    hello,
-		addrs:    append([]string(nil), addrs...),
-		coalesce: coalesce,
-		fetch:    fetch,
+		addrs:    append([]string(nil), cfg.addrs...),
+		coalesce: cfg.coalesce,
+		fetch:    cfg.fetch,
 	}
+	// With a roster fetch an initial epoch refusal is recovered by
+	// fetching a newer map and retrying.
 	deadline := time.Now().Add(rerouteDeadline)
 	for {
 		err := f.dialAll()
@@ -198,11 +189,17 @@ func dialFleet(addrs []string, hello wire.Hello, route func(core.FlowKey) int, b
 	}
 }
 
+// rerouteDeadline bounds how long a rerouting exporter polls the roster
+// fetch for a newer fleet map before giving up. Resizes publish the new
+// map only after state migration completes, so the poll spans the whole
+// hand-off.
+const rerouteDeadline = 60 * time.Second
+
 // dialAll opens one session per member address under the exporter's
 // current hello/epoch, replacing f.exps. Any refusal closes what was
 // opened and fails the dial.
 func (f *FleetExporter) dialAll() error {
-	f.exps = make([]*Exporter, len(f.addrs))
+	f.exps = make([]*exporter, len(f.addrs))
 	if len(f.bufs) != len(f.addrs) {
 		f.bufs = make([][]core.PacketDigest, len(f.addrs))
 		for i := range f.bufs {
@@ -211,15 +208,12 @@ func (f *FleetExporter) dialAll() error {
 	}
 	gen := f.gen.Add(1)
 	for i, addr := range f.addrs {
-		ex, err := Dial(addr, f.hello)
+		ex, err := dial(addr, f.hello, f.coalesce)
 		if err != nil {
 			f.closeSessions()
 			return fmt.Errorf("collector: fleet member %d (%s): %w", i, addr, err)
 		}
 		f.exps[i] = ex
-		if f.coalesce > 0 {
-			ex.SetCoalesce(f.coalesce)
-		}
 		if f.fetch != nil {
 			go f.watch(ex, gen)
 		}
@@ -233,7 +227,7 @@ func (f *FleetExporter) dialAll() error {
 // error just means the session ended. The nudge records the generation
 // the session belongs to — never moving it backwards — so a late nudge
 // from a session rehome already replaced is inert.
-func (f *FleetExporter) watch(ex *Exporter, gen uint64) {
+func (f *FleetExporter) watch(ex *exporter, gen uint64) {
 	buf := make([]byte, 1)
 	for {
 		n, err := ex.conn.Read(buf)

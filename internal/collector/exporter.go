@@ -9,23 +9,23 @@ import (
 	"repro/internal/wire"
 )
 
-// Exporter is the switch side of a collector session: it dials the
-// daemon, performs the wire.Hello handshake, and streams digest batches
-// as checksummed frames. It is the transmit path cmd/pintload, the
-// collector-scale scenario, and any embedded switch agent share.
+// exporter is the switch side of one collector session: dial connects
+// to the daemon and performs the wire.Hello handshake, then Send streams
+// digest batches as checksummed frames. Connect opens one per fleet
+// member; SendHandoff opens one for a resize hand-off.
 //
-// An Exporter is not safe for concurrent use; give each sending
-// goroutine its own (each simulated switch owns one connection).
+// An exporter is not safe for concurrent use; each sending goroutine
+// owns its own (each simulated switch owns one connection).
 //
-// By default the session runs with TCP_NODELAY set (every frame goes
-// straight to the wire — lowest per-report latency, one syscall and
-// often one small segment per frame). SetCoalesce trades that latency
-// away for throughput by batching frames into fewer, larger writes.
-type Exporter struct {
+// With coalesce 0 every frame goes straight to the wire (TCP_NODELAY:
+// lowest per-report latency, one syscall and often one small segment
+// per frame). A positive threshold trades that latency for throughput
+// by batching frames into fewer, larger writes (see WithCoalesce).
+type exporter struct {
 	conn    net.Conn
 	scratch []byte // marshal + frame scratch, reused across Send calls
-	packets uint64
-	bytes   uint64
+	packets uint64 // packets sent so far
+	bytes   uint64 // wire bytes sent so far, frame headers included
 	// coalesce > 0 buffers marshaled frames in pending until at least
 	// that many bytes accumulate; 0 writes every frame immediately.
 	coalesce int
@@ -38,40 +38,35 @@ func HelloFor(eng *core.Engine, exporterID uint64, name string) wire.Hello {
 	return wire.Hello{Exporter: exporterID, PlanHash: eng.PlanHash(), Name: name}
 }
 
-// Dial connects to a collector at addr and performs the handshake.
-func Dial(addr string, hello wire.Hello) (*Exporter, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	e, err := NewExporter(conn, hello)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-// handshakeTimeout bounds the exporter-side handshake, mirroring the
-// server's Config.HandshakeTimeout: dialing something that is not a
-// collector (the HTTP port, say) must error, not hang waiting for an
-// ack that will never come.
+// handshakeTimeout bounds the exporter-side connect and handshake,
+// mirroring the server's Config.HandshakeTimeout: dialing a blackholed
+// address must not wait out the kernel's SYN retries, and dialing
+// something that is not a collector (the HTTP port, say) must error, not
+// hang waiting for an ack that will never come.
 const handshakeTimeout = 10 * time.Second
 
-// NewExporter performs the handshake over an existing connection and
-// takes ownership of it (Close closes it).
-func NewExporter(conn net.Conn, hello wire.Hello) (*Exporter, error) {
+// dial connects to a collector at addr and performs the handshake. It
+// opens every exporter-side session, so it is the one place the
+// handshake lives. coalesce is the write-coalescing threshold in bytes
+// (values <= 0 write every frame immediately).
+func dial(addr string, hello wire.Hello, coalesce int) (_ *exporter, err error) {
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	// Go's net.TCPConn disables Nagle by default, but the exporter's
 	// latency story depends on it, so set it explicitly rather than
-	// inheriting a default that a custom dialer or future runtime could
-	// change. Exporters want either immediate per-frame writes (NODELAY)
-	// or application-level coalescing via SetCoalesce — never Nagle's
-	// ack-gated middle ground, which would stall telemetry behind the
-	// collector's read cadence.
-	if tc, ok := conn.(*net.TCPConn); ok {
-		if err := tc.SetNoDelay(true); err != nil {
-			return nil, fmt.Errorf("collector: setting TCP_NODELAY: %w", err)
-		}
+	// inheriting a default a future runtime could change. Exporters want
+	// either immediate per-frame writes (NODELAY) or application-level
+	// coalescing — never Nagle's ack-gated middle ground, which would
+	// stall telemetry behind the collector's read cadence.
+	if err := conn.(*net.TCPConn).SetNoDelay(true); err != nil {
+		return nil, fmt.Errorf("collector: setting TCP_NODELAY: %w", err)
 	}
 	buf, err := wire.AppendHello(nil, hello)
 	if err != nil {
@@ -89,35 +84,15 @@ func NewExporter(conn net.Conn, hello wire.Hello) (*Exporter, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return &Exporter{conn: conn, scratch: buf[:0]}, nil
-}
-
-// SetCoalesce sets the write-coalescing threshold in bytes. With n > 0,
-// Send buffers marshaled frames until at least n bytes are pending, then
-// writes them in one syscall; Flush (and Close) drain the remainder.
-// With n <= 0 (the default) every frame is written immediately.
-//
-// The trade-off: coalescing cuts syscalls and small TCP segments —
-// throughput for high-rate exporters feeding many small frames — but a
-// buffered frame is invisible to the collector until the threshold
-// fills or Flush runs, so per-report latency rises by up to one
-// coalescing window. Pick immediate writes for interactive or sparse
-// telemetry, coalescing for bulk replay and load generation. A few kB
-// (wire MTU-to-64kB) is the useful range; the frame that crosses the
-// threshold is never split.
-func (e *Exporter) SetCoalesce(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.coalesce = n
+	return &exporter{conn: conn, scratch: buf[:0], coalesce: max(coalesce, 0)}, nil
 }
 
 // Send marshals one digest batch and writes it as a single frame — or,
-// under SetCoalesce, stages it until the coalescing threshold fills.
-// Empty batches are a no-op. When the collector's sink workers fall
-// behind, the write blocks — TCP flow control carrying the sink's
-// backpressure to the switch.
-func (e *Exporter) Send(batch []core.PacketDigest) error {
+// with coalescing on, stages it until the threshold fills. Empty batches
+// are a no-op. When the collector's sink workers fall behind, the write
+// blocks — TCP flow control carrying the sink's backpressure to the
+// switch.
+func (e *exporter) Send(batch []core.PacketDigest) error {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -145,7 +120,7 @@ func (e *Exporter) Send(batch []core.PacketDigest) error {
 
 // Flush writes any frames staged by coalescing. A no-op when nothing is
 // pending (so it is always safe to call, coalescing or not).
-func (e *Exporter) Flush() error {
+func (e *exporter) Flush() error {
 	if len(e.pending) == 0 {
 		return nil
 	}
@@ -156,15 +131,9 @@ func (e *Exporter) Flush() error {
 	return nil
 }
 
-// Packets returns the packets sent so far.
-func (e *Exporter) Packets() uint64 { return e.packets }
-
-// Bytes returns the wire bytes sent so far (frame headers included).
-func (e *Exporter) Bytes() uint64 { return e.bytes }
-
 // Close drains any coalesced frames and ends the session; the collector
 // sees a clean EOF at a frame boundary.
-func (e *Exporter) Close() error {
+func (e *exporter) Close() error {
 	err := e.Flush()
 	if cerr := e.conn.Close(); err == nil {
 		err = cerr

@@ -18,12 +18,12 @@ import (
 // package), keeping the dependency arrow pointing one way.
 
 // FleetExporter streams digest batches to a fleet of collectors, routing
-// every packet to its flow's home node. It owns one Exporter session per
-// fleet member, all opened with the same Hello (exporter ID, plan hash,
-// and — critically — cluster epoch; a member on a different epoch refuses
-// the whole fleet session). Like Exporter it is single-goroutine.
+// every packet to its flow's home node. It owns one session per fleet
+// member, all opened with the same Hello (exporter ID, plan hash, and —
+// critically — cluster epoch; a member on a different epoch refuses the
+// whole fleet session). It is not safe for concurrent use.
 type FleetExporter struct {
-	exps  []*Exporter
+	exps  []*exporter
 	route func(core.FlowKey) int
 	bufs  [][]core.PacketDigest
 	batch int
@@ -52,33 +52,8 @@ func (f *FleetExporter) rerouteRequested() bool {
 	return g != 0 && f.nudgedGen.Load() == g
 }
 
-// DialFleet opens one exporter session per fleet member address. route
-// maps a flow key to an index into addrs (the fleet partitioner); batch
-// is the per-member frame size in packets (values < 1 mean 256). Any
-// member refusing the handshake fails the whole dial — a fleet where some
-// members reject the epoch would silently drop those members' flows.
-//
-// DialFleet is the static compatibility path: the sessions are pinned to
-// addrs and hello.Epoch for their whole life. Connect is the options
-// entry point that subsumes it (and adds live re-routing).
-func DialFleet(addrs []string, hello wire.Hello, route func(core.FlowKey) int, batch int) (*FleetExporter, error) {
-	return dialFleet(addrs, hello, route, batch, 0, nil)
-}
-
 // Members returns the fleet size.
 func (f *FleetExporter) Members() int { return len(f.exps) }
-
-// SetCoalesce sets every member session's write-coalescing threshold
-// (see Exporter.SetCoalesce for the latency/throughput trade-off).
-// Fleet Flush and Close drain member coalescing buffers too.
-func (f *FleetExporter) SetCoalesce(n int) {
-	f.coalesce = n
-	for _, ex := range f.exps {
-		if ex != nil {
-			ex.SetCoalesce(n)
-		}
-	}
-}
 
 // Send routes every packet of batch to its flow's home member, framing
 // and transmitting each member's buffer whenever it fills. Packet order
@@ -132,7 +107,7 @@ func (f *FleetExporter) Packets() uint64 {
 	var n uint64
 	for _, ex := range f.exps {
 		if ex != nil {
-			n += ex.Packets()
+			n += ex.packets
 		}
 	}
 	return n
@@ -143,7 +118,7 @@ func (f *FleetExporter) Bytes() uint64 {
 	var n uint64
 	for _, ex := range f.exps {
 		if ex != nil {
-			n += ex.Bytes()
+			n += ex.bytes
 		}
 	}
 	return n
@@ -164,9 +139,9 @@ func (f *FleetExporter) Close() error {
 	return err
 }
 
-// ExporterLoad is one connection's contribution to a steady-state run:
-// what it sent, and over how long, so callers can report per-connection
-// and aggregate rates.
+// ExporterLoad is one connection's contribution to a StreamSteadyState
+// run: what it sent, and over how long, so callers can report
+// per-connection and aggregate rates.
 type ExporterLoad struct {
 	Exporter uint64
 	Packets  uint64
@@ -182,15 +157,20 @@ func (l ExporterLoad) Mpkts() float64 {
 	return float64(l.Packets) / l.Elapsed.Seconds() / 1e6
 }
 
-// StreamSteadyState drives nExporters connections at full rate for (at
-// least) the given duration: each exporter pre-encodes its flows' digest
-// batches once, then replays them over its fleet session until the
+// StreamSteadyState streams the (nExporters × flowsPer × pktsPer)
+// testbench deployment: one concurrent fleet session per exporter, each
+// flow routed to route(flow)'s collector under the given cluster epoch
+// (route may be nil with a single address), digests framed in chunks of
+// batch packets. coalesce > 0 sets each session's write-coalescing
+// threshold in bytes (see WithCoalesce).
+//
+// A zero duration sends exactly one sweep: every flow once, encoded as
+// it is sent. A positive duration replays for (at least) that long: each
+// exporter pre-encodes its flows once, then sweeps them until the
 // deadline, so the timed loop measures the transmit + ingest path, not
-// encoding. coalesce > 0 sets each session's write-coalescing threshold
-// in bytes (see Exporter.SetCoalesce). Every exporter finishes its
-// current sweep before stopping — the deadline is checked between
-// frames — and flushes before its counters are read, so the returned
-// loads are exact. Results are ordered by exporter ID.
+// encoding. The deadline is checked between sweeps. Every exporter
+// flushes before its counters are read, so the returned loads are exact.
+// Results are ordered by exporter ID.
 func (tb *Testbench) StreamSteadyState(addrs []string, route func(core.FlowKey) int, epoch uint64,
 	nExporters, flowsPer, pktsPer, batch, coalesce int, duration time.Duration) ([]ExporterLoad, error) {
 	if err := ValidateShape(nExporters, flowsPer, pktsPer); err != nil {
@@ -216,14 +196,23 @@ func (tb *Testbench) StreamSteadyState(addrs []string, route func(core.FlowKey) 
 				if err != nil {
 					return err
 				}
-				flows := make([][]core.PacketDigest, flowsPer)
 				vals := make([]core.HopValues, pktsPer)
-				for f := 0; f < flowsPer; f++ {
-					flows[f] = tb.FlowBatch(exp, f, pktsPer, nil, vals)
+				var encoded [][]core.PacketDigest
+				if duration > 0 {
+					encoded = make([][]core.PacketDigest, flowsPer)
+					for f := range encoded {
+						encoded[f] = tb.FlowBatch(exp, f, pktsPer, nil, vals)
+					}
 				}
 				start := time.Now()
+				var pkts []core.PacketDigest
 				for ok := true; ok; ok = time.Now().Before(deadline) {
-					for _, pkts := range flows {
+					for f := 0; f < flowsPer; f++ {
+						if encoded != nil {
+							pkts = encoded[f]
+						} else {
+							pkts = tb.FlowBatch(exp, f, pktsPer, pkts, vals)
+						}
 						if err := fe.Send(pkts); err != nil {
 							fe.Close()
 							return err
@@ -251,65 +240,4 @@ func (tb *Testbench) StreamSteadyState(addrs []string, route func(core.FlowKey) 
 		}
 	}
 	return loads, nil
-}
-
-// StreamFleetDeployment is the fleet mode of StreamDeployment: the same
-// (nExporters × flowsPer × pktsPer) testbench deployment, but every
-// simulated switch opens one session per fleet member and routes each
-// flow to route(flow)'s collector under the given cluster epoch. With one
-// address and a constant route it degenerates to StreamDeployment.
-// cmd/pintload in -addr a,b,c form is this function plus flags.
-func (tb *Testbench) StreamFleetDeployment(addrs []string, route func(core.FlowKey) int, epoch uint64,
-	nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
-	if err := ValidateShape(nExporters, flowsPer, pktsPer); err != nil {
-		return 0, 0, err
-	}
-	if batch < 1 || batch > pktsPer {
-		batch = pktsPer
-	}
-	var wg sync.WaitGroup
-	expErrs := make([]error, nExporters)
-	var statMu sync.Mutex
-	for e := 0; e < nExporters; e++ {
-		wg.Add(1)
-		go func(e int) {
-			defer wg.Done()
-			expErrs[e] = func() error {
-				exp := uint64(e) + 1
-				fe, err := Connect(tb.Engine, exp, fmt.Sprintf("load-%d", exp),
-					WithAddrs(addrs...), WithRoute(route), WithSessionEpoch(epoch),
-					WithTenant(tb.Tenant), WithFrameBatch(batch), WithRosterFetch(tb.Fetch))
-				if err != nil {
-					return err
-				}
-				var pkts []core.PacketDigest
-				vals := make([]core.HopValues, pktsPer)
-				for f := 0; f < flowsPer; f++ {
-					pkts = tb.FlowBatch(exp, f, pktsPer, pkts, vals)
-					if err := fe.Send(pkts); err != nil {
-						fe.Close()
-						return err
-					}
-				}
-				// Flush before reading the counters so the tail buffers
-				// are part of the reported totals.
-				if err := fe.Flush(); err != nil {
-					fe.Close()
-					return err
-				}
-				statMu.Lock()
-				packets += fe.Packets()
-				bytes += fe.Bytes()
-				statMu.Unlock()
-				return fe.Close()
-			}()
-		}(e)
-	}
-	wg.Wait()
-	for e, err := range expErrs {
-		if err != nil {
-			return packets, bytes, fmt.Errorf("collector: exporter %d: %w", e+1, err)
-		}
-	}
-	return packets, bytes, nil
 }

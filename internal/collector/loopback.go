@@ -41,9 +41,6 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 	if err := ValidateShape(nExporters, flowsPer, pktsPer); err != nil {
 		return nil, err
 	}
-	if batch < 1 || batch > pktsPer {
-		batch = pktsPer
-	}
 	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
 	if err != nil {
 		return nil, err
@@ -59,13 +56,18 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	addr := ln.Addr().String()
 
 	start := time.Now()
-	packets, bytes, err := tb.StreamDeployment(addr, nExporters, flowsPer, pktsPer, batch)
+	loads, err := tb.StreamSteadyState([]string{ln.Addr().String()}, nil, 0,
+		nExporters, flowsPer, pktsPer, batch, 0, 0)
 	if err != nil {
 		srv.Shutdown(context.Background())
 		return nil, err
+	}
+	var packets, bytes uint64
+	for _, l := range loads {
+		packets += l.Packets
+		bytes += l.Bytes
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -94,17 +96,6 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 		WireBytes: bytes,
 		Elapsed:   elapsed,
 	}, nil
-}
-
-// StreamDeployment streams the full (nExporters × flowsPer × pktsPer)
-// testbench deployment to a single collector at addr: one concurrent
-// connection per exporter, digests framed in chunks of batch packets. It
-// is the one-member special case of StreamFleetDeployment (see fleet.go)
-// under epoch 0, and returns the packet and wire-byte totals once every
-// exporter has sent everything and closed.
-func (tb *Testbench) StreamDeployment(addr string, nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
-	return tb.StreamFleetDeployment([]string{addr}, func(core.FlowKey) int { return 0 }, 0,
-		nExporters, flowsPer, pktsPer, batch)
 }
 
 // RunInProcess runs the identical deployment without a socket in sight:

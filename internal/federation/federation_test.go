@@ -167,8 +167,8 @@ func TestFleetEpochFencesStaleExporters(t *testing.T) {
 	}
 	defer fleet.Shutdown(context.Background())
 
-	if _, _, err := tb.StreamFleetDeployment(fleet.TCPAddrs(), fleet.Partitioner().Home, 76,
-		1, 1, 10, 10); err == nil {
+	if _, err := tb.StreamSteadyState(fleet.TCPAddrs(), fleet.Partitioner().Home, 76,
+		1, 1, 10, 10, 0, 0); err == nil {
 		t.Fatal("stale-epoch deployment was accepted")
 	}
 	if _, _, err := fleet.Stream(1, 1, 10, 10); err != nil {

@@ -237,7 +237,12 @@ func (f *Fleet) Partitioner() *Partitioner { return f.part }
 // deployment into the fleet over real TCP, each flow routed to its home
 // member under the fleet's epoch.
 func (f *Fleet) Stream(nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
-	return f.TB.StreamFleetDeployment(f.TCPAddrs(), f.part.Home, f.Epoch, nExporters, flowsPer, pktsPer, batch)
+	loads, err := f.TB.StreamSteadyState(f.TCPAddrs(), f.part.Home, f.Epoch, nExporters, flowsPer, pktsPer, batch, 0, 0)
+	for _, l := range loads {
+		packets += l.Packets
+		bytes += l.Bytes
+	}
+	return packets, bytes, err
 }
 
 // WaitIngested blocks until the fleet's members have collectively

@@ -101,8 +101,7 @@ const maxNodeResponse = collector.MaxRequestBody * 64
 //
 // Members come from WithFleetMap (the map's query URLs, plus epoch
 // staleness detection and the /fleetmap endpoints) or WithMembers (a
-// bare URL list); at least one is required. NewStaticFrontend is the
-// positional compatibility path.
+// bare URL list); at least one is required.
 func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 	var cfg frontendConfig
 	for _, o := range opts {
@@ -125,14 +124,6 @@ func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 		return nil, fmt.Errorf("federation: frontend needs members (WithMembers or WithFleetMap)")
 	}
 	return g, nil
-}
-
-// NewStaticFrontend builds a frontend over a bare list of member query
-// URLs — the compatibility path for the pre-options constructor. New
-// code should use NewFrontend(WithFleetMap(...)), which adds epoch
-// staleness detection and the /fleetmap endpoints.
-func NewStaticFrontend(nodes []string) (*Frontend, error) {
-	return NewFrontend(WithMembers(nodes...))
 }
 
 // SetFleetMap installs a newer fleet map: the member list, the epoch

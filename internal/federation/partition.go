@@ -100,5 +100,5 @@ func (p *Partitioner) Home(flow core.FlowKey) int {
 	return best
 }
 
-// Route returns Home as a routing closure for collector.DialFleet.
+// Route returns Home as a routing closure for collector.WithRoute.
 func (p *Partitioner) Route() func(core.FlowKey) int { return p.Home }

@@ -41,7 +41,7 @@ import (
 //     state import.
 //
 // Exporters must be connected with collector.WithRosterFetch (e.g.
-// Fleet.RosterFetch) to follow the resize; a static DialFleet session
+// Fleet.RosterFetch) to follow the resize; a session without one
 // ends at the fence instead. Resize returns the executed move plan.
 func (f *Fleet) Resize(ctx context.Context, n int) ([]Move, error) {
 	if n < 1 {

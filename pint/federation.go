@@ -14,7 +14,7 @@ import (
 //
 // Three invariants make a fleet answer exactly like one big collector:
 // every flow routes to exactly one home member (Partitioner), sessions
-// are fenced by a cluster epoch (CollectorConfig.Epoch / Hello.Epoch) so
+// are fenced by a cluster epoch (WithEpoch / WithSessionEpoch) so
 // a repartitioned exporter cannot mix fleet maps, and queries merge the
 // members' disjoint flow sets in flow-key order (Frontend — the HTTP
 // image of Recording merging in the sharded sink).
@@ -121,6 +121,9 @@ func WithTenant(tenant string) DialOption { return collector.WithTenant(tenant) 
 // WithCoalesce sets the per-session write-coalescing threshold in bytes.
 func WithCoalesce(bytes int) DialOption { return collector.WithCoalesce(bytes) }
 
+// WithFrameBatch sets the per-member frame size in packets (default 256).
+func WithFrameBatch(n int) DialOption { return collector.WithFrameBatch(n) }
+
 // WithFleetMap derives addresses, routing, and epoch from a fleet map.
 func WithFleetMap(roster FleetRoster) DialOption { return collector.WithFleetMap(roster) }
 
@@ -128,14 +131,6 @@ func WithFleetMap(roster FleetRoster) DialOption { return collector.WithFleetMap
 // polled for the current map whenever the session's epoch goes stale.
 func WithRosterFetch(fetch func() (FleetRoster, error)) DialOption {
 	return collector.WithRosterFetch(fetch)
-}
-
-// DialCollectorFleet opens one exporter session per fleet member and
-// routes each flow by route (e.g. Partitioner.Route()). It is the static
-// compatibility path for Connect: the sessions are pinned to addrs and
-// hello.Epoch for their whole life.
-func DialCollectorFleet(addrs []string, hello Hello, route func(FlowKey) int, batch int) (*FleetExporter, error) {
-	return collector.DialFleet(addrs, hello, route, batch)
 }
 
 // Frontend is the fleet's merging query endpoint: it fans /snapshot,
@@ -165,12 +160,6 @@ const PartialHeader = federation.PartialHeader
 //	fe, err := pint.NewFrontend(pint.WithFrontendMembers("http://tor-a:9778"))
 func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 	return federation.NewFrontend(opts...)
-}
-
-// NewStaticFrontend builds a frontend over a bare list of member query
-// URLs — the compatibility path for the pre-options constructor.
-func NewStaticFrontend(nodes []string) (*Frontend, error) {
-	return federation.NewStaticFrontend(nodes)
 }
 
 // WithFrontendMembers sets the frontend's member query URLs explicitly.

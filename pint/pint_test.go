@@ -332,7 +332,7 @@ func TestPublicCollectorAPI(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	ex, err := pint.DialCollector(ln.Addr().String(), pint.HelloFor(engine, 1, "public-api"))
+	ex, err := pint.Connect(engine, 1, "public-api", pint.WithAddrs(ln.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,12 +454,14 @@ func TestPublicFederationAPI(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 
-	hello := pint.HelloFor(engine, 1, "public-fleet")
-	if _, err := pint.DialCollectorFleet(addrs, hello, part.Route(), 128); err == nil {
+	dial := func(epoch uint64) (*pint.FleetExporter, error) {
+		return pint.Connect(engine, 1, "public-fleet", pint.WithAddrs(addrs...), pint.WithRoute(part.Route()),
+			pint.WithSessionEpoch(epoch), pint.WithFrameBatch(128))
+	}
+	if _, err := dial(0); err == nil {
 		t.Fatal("epoch-less exporter accepted by an epoch-fenced fleet")
 	}
-	hello.Epoch = epoch
-	fx, err := pint.DialCollectorFleet(addrs, hello, part.Route(), 128)
+	fx, err := dial(epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
